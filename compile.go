@@ -436,14 +436,9 @@ func (m *CompiledMeasure) rho0() float64 {
 	return sparse.Dot(m.cm.model.Initial(), m.rewards)
 }
 
-// seriesFor returns the series certified for the horizon, cached per
+// seriesForCtx returns the series certified for the horizon, cached per
 // distinct horizon. Results are a pure function of the horizon, so queries
-// stay order-independent.
-func (m *CompiledMeasure) seriesFor(horizon float64) (*regen.Series, error) {
-	return m.seriesForCtx(context.Background(), horizon)
-}
-
-// seriesForCtx is seriesFor under a context. The single-flight construction
+// stay order-independent. The single-flight construction
 // runs under a detached context that is cancelled only when every waiter has
 // abandoned it, so one impatient query cannot poison the series for others;
 // a cancelled construction leaves the append-only chain store holding a

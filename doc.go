@@ -71,7 +71,7 @@
 // and then groups RR/RRL requests by horizon class (the exact certified
 // horizon, the max of a request's times). Each group's distinct reward
 // vectors execute as dot lanes of ONE multi-lane stepping pass: on a
-// non-retaining compiled model the group rides regen.Basis.BuildMany (every
+// non-retaining compiled model the group rides regen.Basis.BuildManyCtx (every
 // stored matrix entry is loaded once for all lanes, so a 32-measure
 // same-horizon batch costs about one series construction instead of 32 —
 // measured ≥5× end-to-end throughput on the paper's G=20 model,
@@ -249,8 +249,10 @@
 // one kernel pass (sparse.Matrix.StepFused) for SR, RSD, the RR/RRL series
 // build and AU (MS runs its dense block build on the same worker pool
 // instead); rebinding a reward vector to retained step vectors replays the
-// dot side of that kernel two vectors per sweep
-// (sparse.Matrix.RewardDotFusedBatch); batches of time points and batches
+// dot side of that kernel — two vectors per sweep for one full-precision
+// binding (sparse.Matrix.RewardDotFusedBatch), eight vectors per sweep for
+// every rewards vector of a grouped or compact replay
+// (sparse.RewardDotMulti); batches of time points and batches
 // of queries fan out over a persistent worker pool (internal/par); and
 // per-query scratch (stepping buffers, birth-process tables,
 // epsilon-acceleration diagonals) comes from per-size-class pools
@@ -278,7 +280,7 @@
 // machinery entirely. When α_r < 1 the main and primed chains step in
 // lockstep through one matrix traversal (sparse.Frontier.StepFusedMulti /
 // sparse.Matrix.StepFusedMulti — each stored entry loaded once for all
-// lanes), and regen.BuildManyWithDTMC runs any number of reward vectors as
+// lanes), and regen.Basis.BuildManyCtx runs any number of reward vectors as
 // extra dot lanes of one construction (row-interleaved rewards layout, a
 // register-chain dot replay for the saturated single-chunk phase, and
 // lane-group parallelism on multicore keep the per-lane marginal cost a

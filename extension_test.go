@@ -86,9 +86,20 @@ func TestConcurrentExtensionBitwise(t *testing.T) {
 	})
 	horizons := []float64{2, 5, 10, 20, 50, 100, 200, 500}
 
-	for _, disableRetention := range []bool{false, true} {
-		t.Run(fmt.Sprintf("retain=%v", !disableRetention), func(t *testing.T) {
-			serial := compileFor(t, sc, regenrand.CompileOptions{DisableRetention: disableRetention})
+	// Compact retention replays float32-rounded vectors, so its answers are
+	// compared with a serial compact run, never with full retention.
+	compactOpts := regenrand.DefaultOptions()
+	compactOpts.Epsilon = 1e-6
+	for _, tc := range []struct {
+		name  string
+		copts regenrand.CompileOptions
+	}{
+		{"retain=true", regenrand.CompileOptions{}},
+		{"retain=false", regenrand.CompileOptions{DisableRetention: true}},
+		{"retain=compact", regenrand.CompileOptions{Options: compactOpts, CompactRetention: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := compileFor(t, sc, tc.copts)
 			want := make(map[float64][]regenrand.Result, len(horizons))
 			for _, h := range horizons {
 				res, err := serial.Query(regenrand.Query{Method: regenrand.MethodRRL, Rewards: rw, Times: []float64{h}})
@@ -98,7 +109,7 @@ func TestConcurrentExtensionBitwise(t *testing.T) {
 				want[h] = res
 			}
 
-			cm := compileFor(t, sc, regenrand.CompileOptions{DisableRetention: disableRetention})
+			cm := compileFor(t, sc, tc.copts)
 			const workers = 8
 			type outcome struct {
 				worker int

@@ -3,7 +3,6 @@ package regen
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,19 +13,21 @@ import (
 
 // Basis is the reward-independent regenerative-randomization artifact of one
 // (model, regenerative state, options) triple — the expensive part of the
-// method that the compile phase performs once and every query reuses.
+// method that the compile phase performs once and every query reuses — and
+// the owner of the one series engine every construction runs on.
 //
 // It owns the shared uniformized DTMC and, in retaining mode, the
 // reward-free chain statistics a(k), q_k, v^i_k together with every stepped
 // vector u_k (primed counterparts when α_r < 1). Binding a reward vector is
-// then a sweep of chunk-deterministic dot products over the retained
-// vectors (sparse.Matrix.RewardDotFused) instead of a fresh stepping pass,
-// and yields a Series bitwise-identical to Build. In non-retaining mode the
-// Basis only shares the DTMC and each binding owns a pair of reward-carrying
-// incremental chains (O(states) working vectors, O(K) scalars) that extend
-// monotonically as horizons grow — the memory-lean configuration the wrapper
-// constructors use; a deeper horizon pays only the step difference instead
-// of a fresh stepping pass.
+// then a replay of chunk-deterministic reward dots over the retained
+// vectors (RewardDotFusedBatch for one full-precision binding,
+// RewardDotMulti for grouped or compact ones) instead of a fresh stepping
+// pass, and yields a Series bitwise-identical to Build. In non-retaining
+// mode the Basis only shares the DTMC and each binding owns a pair of
+// reward-carrying incremental chains (O(states) working vectors, O(K)
+// scalars) that extend monotonically as horizons grow — the memory-lean
+// configuration the wrapper constructors use; a deeper horizon pays only the
+// step difference instead of a fresh stepping pass.
 //
 // A Basis is safe for concurrent use: lazy extension of the chain store is
 // serialized by an internal mutex, published prefixes are append-only and
@@ -80,18 +81,9 @@ const (
 	RetainCompact
 )
 
-// NewBasis validates the reward-independent inputs, uniformizes the model
-// once, and returns a Basis. retain selects whether stepped vectors are kept
-// for later reward binding (memory O(states · K)) or each binding re-steps.
-func NewBasis(model *ctmc.CTMC, regenState int, opts core.Options, retain bool) (*Basis, error) {
-	mode := RetainNone
-	if retain {
-		mode = RetainFull
-	}
-	return NewBasisMode(model, regenState, opts, mode)
-}
-
-// NewBasisMode is NewBasis with an explicit retention mode.
+// NewBasisMode validates the reward-independent inputs, uniformizes the
+// model once, and returns a Basis that keeps what mode selects of the
+// stepped vectors for later reward binding.
 func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode RetainMode) (*Basis, error) {
 	if err := validateRegenInputs(model, regenState, &opts); err != nil {
 		return nil, err
@@ -112,16 +104,9 @@ func NewBasisMode(model *ctmc.CTMC, regenState int, opts core.Options, mode Reta
 		fr:         frontierFor(model, d, regenState),
 	}
 	if mode != RetainNone {
-		n := model.N()
-		compact := mode == RetainCompact
-		u0 := make([]float64, n)
-		u0[regenState] = 1
-		b.main = newChainState(n, b.plan, b.fr, u0, nil, 1, true, compact, &b.retainedBytes)
+		b.main = b.newChain(false, nil, nil, &b.retainedBytes)
 		if b.alphaR < 1 {
-			up0 := make([]float64, n)
-			copy(up0, model.Initial())
-			up0[regenState] = 0
-			b.prime = newChainState(n, b.plan, b.fr, up0, nil, 1-b.alphaR, true, compact, &b.retainedBytes)
+			b.prime = b.newChain(true, nil, nil, &b.retainedBytes)
 		}
 	}
 	return b, nil
@@ -154,55 +139,58 @@ func (b *Basis) Steps() int {
 	return steps
 }
 
-// chainSnapshot is an immutable view of one chain's reward-free statistics.
-// Exactly one of us/us32 is populated in retaining mode, per the basis's
-// retention precision.
-type chainSnapshot struct {
-	a, q []float64
-	v    [][]float64
-	us   [][]float64
-	us32 [][]float32
+// newSeries returns the header of a series over this basis for rewards with
+// maximum rate rmax and absorbing-state rates rAbs; cut fills in the chains.
+func (b *Basis) newSeries(rmax float64, rAbs []float64, horizon float64) *Series {
+	return &Series{
+		Lambda:           b.dtmc.Lambda,
+		Regen:            b.regenState,
+		AlphaR:           b.alphaR,
+		Absorbing:        b.absorbing,
+		RewardsAbsorbing: rAbs,
+		RMax:             rmax,
+		Eps:              b.opts.Epsilon,
+		Horizon:          horizon,
+		L:                -1,
+	}
 }
 
-// extend grows the recorded chain until the truncation bound for (rmax, lam)
-// holds at the current depth (or the chain is exhausted), and returns an
-// immutable snapshot. pred must be the same monotone bound Build uses, so
-// the binary-searched truncation level below is bitwise-identical to a
-// fresh fused build.
+// absorbingRewards returns the reward rates of the absorbing states.
+func (b *Basis) absorbingRewards(rewards []float64) []float64 {
+	rAbs := make([]float64, len(b.absorbing))
+	for i, f := range b.absorbing {
+		rAbs[i] = rewards[f]
+	}
+	return rAbs
+}
+
+// grow steps cs alone until g no longer needs it (or it is exhausted) and
+// records the extension. The caller holds the lock guarding cs: b.mu for
+// the retained chains, the binding's mu for its incremental ones.
 //
-// ctx is tested once per step: a cancel returns within one step's latency,
-// carrying the steps this call completed in a core.CancelError. The steps
-// already taken stay in the chain store — extension is append-only — so a
-// retry resumes where the cancelled call stopped and reaches bitwise the
-// same chain it would have built uninterrupted.
-func (b *Basis) extend(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool) (chainSnapshot, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	base := len(cs.a) - 1
-	steps := 0
-	for !cs.done {
-		level := len(cs.a) - 1
-		if pred(cs.a, level) {
-			break
-		}
-		if err := checkpoint(ctx, steps); err != nil {
-			return chainSnapshot{}, err
-		}
-		cs.step(b.dtmc, b.plan, nil)
-		steps++
+// The store is append-only and never rolled back: a cancelled call leaves a
+// valid prefix, and a retry resumes from it to bitwise the same chain an
+// uninterrupted call would have built.
+func (b *Basis) grow(ctx context.Context, cs *chainState, g goal) error {
+	base := cs.stepIndex()
+	steps, err := advance(ctx, b.dtmc, b.plan, g, cs, nil)
+	if err != nil {
+		return err
 	}
 	noteExtension(base, steps)
-	snap := chainSnapshot{
-		a:    cs.a[:len(cs.a):len(cs.a)],
-		q:    cs.q[:len(cs.q):len(cs.q)],
-		us:   cs.us[:len(cs.us):len(cs.us)],
-		us32: cs.us32[:len(cs.us32):len(cs.us32)],
-		v:    make([][]float64, len(cs.v)),
+	return nil
+}
+
+// extend grows a retained chain until g holds at its depth and returns an
+// immutable snapshot, over which truncation levels are binary-searched with
+// the same monotone bound a fresh build uses — hence bitwise-identical ones.
+func (b *Basis) extend(ctx context.Context, cs *chainState, g goal) (chainSnapshot, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.grow(ctx, cs, g); err != nil {
+		return chainSnapshot{}, err
 	}
-	for i := range cs.v {
-		snap.v[i] = cs.v[i][:len(cs.v[i]):len(cs.v[i])]
-	}
-	return snap, nil
+	return cs.snapshot(), nil
 }
 
 // Binding is the reward-dependent layer over a Basis: one rewards vector,
@@ -223,7 +211,7 @@ type Binding struct {
 	// reward-carrying chains of its own (O(states) working vectors plus O(K)
 	// scalar statistics) that extend monotonically under mu instead of
 	// re-stepping from scratch for every new horizon. nil until the first
-	// series request; see seriesByExtension.
+	// series request.
 	incMain  *chainState
 	incPrime *chainState
 
@@ -249,11 +237,7 @@ func (b *Basis) Bind(rewards []float64) (*Binding, error) {
 	}
 	r := make([]float64, len(rewards))
 	copy(r, rewards)
-	rAbs := make([]float64, len(b.absorbing))
-	for i, f := range b.absorbing {
-		rAbs[i] = r[f]
-	}
-	return &Binding{basis: b, rewards: r, rmax: rmax, rAbs: rAbs}, nil
+	return &Binding{basis: b, rewards: r, rmax: rmax, rAbs: b.absorbingRewards(r)}, nil
 }
 
 // Rewards returns the bound reward vector (shared; do not modify).
@@ -316,311 +300,126 @@ func (bd *Binding) SeriesFor(horizon float64) (*Series, error) {
 }
 
 // SeriesForCtx is SeriesFor with cooperative cancellation: ctx is tested
-// once per chain-extension step. A cancelled call leaves the basis's chain
-// store exactly as far as it got (append-only, never rolled back), so a
-// retry resumes there and returns a series bitwise-identical to an
-// uninterrupted call.
+// once per chain-extension step. A cancelled call leaves the chain store
+// exactly as far as it got (append-only, never rolled back), so a retry
+// resumes there and returns a series bitwise-identical to an uninterrupted
+// call.
+//
+// On a retaining basis this is the one-binding case of PrebindManyCtx. On a
+// non-retaining one the binding's own chains extend monotonically, one
+// chain after the other, each step running the single-lane fused kernel a
+// one-rewards Build runs (bitwise-identical per lane to the lockstep
+// multi-lane one).
 func (bd *Binding) SeriesForCtx(ctx context.Context, horizon float64) (*Series, error) {
 	if err := checkHorizon(horizon); err != nil {
 		return nil, err
 	}
 	b := bd.basis
-	if b.mode == RetainNone {
-		return bd.seriesByExtension(ctx, horizon)
-	}
-	lam := b.dtmc.Lambda * horizon
-
-	s := &Series{
-		Lambda:           b.dtmc.Lambda,
-		Regen:            b.regenState,
-		AlphaR:           b.alphaR,
-		Absorbing:        b.absorbing,
-		RewardsAbsorbing: bd.rAbs,
-		RMax:             bd.rmax,
-		Eps:              b.opts.Epsilon,
-		Horizon:          horizon,
-		L:                -1,
-	}
-	budget, err := bd.truncBudget()
-	if err != nil {
-		return nil, err
-	}
-
-	mainPred := func(a []float64, level int) bool {
-		return truncErrS(bd.rmax, a, level, lam) <= budget
-	}
-	snap, err := b.extend(ctx, b.main, mainPred)
-	if err != nil {
-		return nil, err
-	}
-	depth := len(snap.a) - 1
-	K := sort.Search(depth, func(cand int) bool { return mainPred(snap.a, cand) })
-	s.K = K
-	s.A = snap.a[:K+1]
-	s.Q = snap.q[:min(K, len(snap.q))]
-	s.V = make([][]float64, len(snap.v))
-	for i := range snap.v {
-		s.V[i] = snap.v[i][:min(K, len(snap.v[i]))]
-	}
-	s.B = bd.bSeries(&bd.bMain, snap, K)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			return truncErrP(bd.rmax, a, level, lam) <= budget
-		}
-		psnap, err := b.extend(ctx, b.prime, primePred)
+	if b.mode != RetainNone {
+		series, err := b.bindMany(ctx, []*Binding{bd}, horizon)
 		if err != nil {
 			return nil, err
 		}
-		pdepth := len(psnap.a) - 1
-		L := sort.Search(pdepth, func(cand int) bool { return primePred(psnap.a, cand) })
-		s.L = L
-		s.AP = psnap.a[:L+1]
-		s.QP = psnap.q[:min(L, len(psnap.q))]
-		s.VP = make([][]float64, len(psnap.v))
-		for i := range psnap.v {
-			s.VP[i] = psnap.v[i][:min(L, len(psnap.v[i]))]
-		}
-		s.BP = bd.bSeries(&bd.bPrime, psnap, L)
+		return series[0], nil
 	}
-	return s, nil
-}
-
-// ensureIncLocked lazily creates the binding-owned reward-carrying chains of
-// the non-retaining incremental store. The chains start from the same u₀ /
-// u'₀ a fused build starts from and track the b series directly out of the
-// fused step kernel, so nothing beyond O(states) working vectors and O(K)
-// scalars is retained. Caller holds bd.mu.
-func (bd *Binding) ensureIncLocked() {
-	if bd.incMain != nil {
-		return
-	}
-	b := bd.basis
-	n := b.model.N()
-	u0 := make([]float64, n)
-	u0[b.regenState] = 1
-	bd.incMain = newChainState(n, b.plan, b.fr, u0, bd.rewards, 1, false, false, &bd.bytes)
-	bd.bytes.Add(int64(n) * 16) // the chain's two working vectors
-	if b.alphaR < 1 {
-		up0 := make([]float64, n)
-		copy(up0, b.model.Initial())
-		up0[b.regenState] = 0
-		bd.incPrime = newChainState(n, b.plan, b.fr, up0, bd.rewards, 1-b.alphaR, false, false, &bd.bytes)
-		bd.bytes.Add(int64(n) * 16)
-	}
-}
-
-// extendIncLocked grows one incremental chain until pred certifies the
-// current depth (or the chain exhausts), testing ctx once per step. Like the
-// basis extension, the store is append-only and never rolled back: a
-// cancelled call leaves a valid prefix, and a retry resumes from it to
-// bitwise the same chain an uninterrupted call would have built. Caller
-// holds bd.mu.
-func (bd *Binding) extendIncLocked(ctx context.Context, cs *chainState, pred func(a []float64, level int) bool) error {
-	b := bd.basis
-	base := cs.stepIndex()
-	steps := 0
-	for !cs.done && !pred(cs.a, cs.stepIndex()) {
-		if err := checkpoint(ctx, steps); err != nil {
-			return err
-		}
-		cs.step(b.dtmc, b.plan, bd.rewards)
-		steps++
-	}
-	noteExtension(base, steps)
-	return nil
-}
-
-// seriesByExtension is the non-retaining series path: instead of re-running
-// a fused build from step zero for every new horizon, the binding's own
-// chains extend monotonically — a t₂ request after t₁ < t₂ pays only the
-// steps between the two truncation depths. Each step runs the same
-// specialized fused kernel a single-rewards build runs (the kernel choice is
-// a pure function of the step index, and the single-lane kernel is
-// bitwise-identical per lane to the lockstep multi-lane one), so the
-// returned series is bitwise-identical to a fresh
-// Build(model, rewards, regen, opts, horizon). Truncation levels come from
-// the same monotone bound binary-searched over the (possibly deeper) chain,
-// hence are depth-independent; published slices are capacity-capped so later
-// extensions never mutate a returned series.
-func (bd *Binding) seriesByExtension(ctx context.Context, horizon float64) (*Series, error) {
-	b := bd.basis
-	lam := b.dtmc.Lambda * horizon
 	budget, err := bd.truncBudget()
 	if err != nil {
 		return nil, err
 	}
+	g := goal{lam: b.dtmc.Lambda * horizon, bounds: []bound{{bd.rmax, budget}}}
 	bd.mu.Lock()
 	defer bd.mu.Unlock()
-	bd.ensureIncLocked()
-
-	s := &Series{
-		Lambda:           b.dtmc.Lambda,
-		Regen:            b.regenState,
-		AlphaR:           b.alphaR,
-		Absorbing:        b.absorbing,
-		RewardsAbsorbing: bd.rAbs,
-		RMax:             bd.rmax,
-		Eps:              b.opts.Epsilon,
-		Horizon:          horizon,
-		L:                -1,
+	if bd.incMain == nil {
+		bd.incMain, bd.incPrime = bd.newIncChains()
 	}
-	mainPred := func(a []float64, level int) bool {
-		return truncErrS(bd.rmax, a, level, lam) <= budget
-	}
-	if err := bd.extendIncLocked(ctx, bd.incMain, mainPred); err != nil {
-		return nil, err
-	}
-	cs := bd.incMain
-	depth := cs.stepIndex()
-	K := sort.Search(depth, func(cand int) bool { return mainPred(cs.a, cand) })
-	s.K = K
-	s.A = cs.a[:K+1 : K+1]
-	s.B = cs.b[:K+1 : K+1]
-	nq := min(K, len(cs.q))
-	s.Q = cs.q[:nq:nq]
-	s.V = make([][]float64, len(cs.v))
-	for i := range cs.v {
-		nv := min(K, len(cs.v[i]))
-		s.V[i] = cs.v[i][:nv:nv]
-	}
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			return truncErrP(bd.rmax, a, level, lam) <= budget
+	s := b.newSeries(bd.rmax, bd.rAbs, horizon)
+	for _, cs := range []*chainState{bd.incMain, bd.incPrime} {
+		if cs == nil {
+			continue
 		}
-		if err := bd.extendIncLocked(ctx, bd.incPrime, primePred); err != nil {
+		if err := b.grow(ctx, cs, g); err != nil {
 			return nil, err
 		}
-		ps := bd.incPrime
-		pdepth := ps.stepIndex()
-		L := sort.Search(pdepth, func(cand int) bool { return primePred(ps.a, cand) })
-		s.L = L
-		s.AP = ps.a[:L+1 : L+1]
-		s.BP = ps.b[:L+1 : L+1]
-		npq := min(L, len(ps.q))
-		s.QP = ps.q[:npq:npq]
-		s.VP = make([][]float64, len(ps.v))
-		for i := range ps.v {
-			nv := min(L, len(ps.v[i]))
-			s.VP[i] = ps.v[i][:nv:nv]
-		}
+		s.cut(cs.primed, g.level(cs.primed, cs.a, 0), cs.snapshot(), cs.bs[0])
 	}
 	return s, nil
 }
 
-// bSeries returns b(0..top) for one chain, computing and caching missing
-// entries from the retained vectors. b(0) is the plain compensated dot the
-// fused build starts from; b(k ≥ 1) replays the dot side of the exact
-// kernel that produced u_k — the frontier replay while the reachable set
-// was still growing, the batch kernel after (same chunk decomposition,
-// same skip rule, same chain assignment) — so every coefficient matches
-// the fused build bit for bit. The saturated-range dots run through the
-// two-lane batch kernel: the interleaved Kahan chains overlap in the
-// pipeline and lane pairs fan out over the worker pool, which is what
-// makes binding a new reward vector several times cheaper than
-// re-stepping.
-func (bd *Binding) bSeries(store *[]float64, snap chainSnapshot, top int) []float64 {
-	bd.mu.Lock()
-	defer bd.mu.Unlock()
-	initial := len(*store)
-	start := initial
-	if start == 0 && top >= 0 {
-		*store = append(*store, bd.b0(snap))
-		start = 1
-	}
-	if start <= top {
-		dots := make([]float64, top+1-start)
-		bd.replayDots(snap, start, dots)
-		for i, d := range dots {
-			ak := snap.a[start+i]
-			var bk float64
-			if ak > 0 {
-				bk = d / ak
-			}
-			*store = append(*store, bk)
-		}
-	}
-	if grew := len(*store) - initial; grew > 0 {
-		bd.bytes.Add(8 * int64(grew))
-	}
-	return (*store)[:top+1]
-}
-
-// b0 is the k = 0 coefficient: the plain compensated dot the fused build
-// starts from, over the retained u₀ at the basis's retention precision.
-func (bd *Binding) b0(snap chainSnapshot) float64 {
-	a0 := snap.a[0]
-	if a0 <= 0 {
-		return 0
-	}
-	if bd.basis.mode == RetainCompact {
-		return sparse.DotW(snap.us32[0], bd.rewards) / a0
-	}
-	return sparse.Dot(snap.us[0], bd.rewards) / a0
-}
-
-// replayDots fills dots[i] with the replayed reward dot of retained vector
-// u_{start+i}. Vector u_m was produced by step m−1: the replay runs the dot
-// side of the exact kernel that step ran — the frontier kernel while the
-// reachable set was still growing, the full-sweep batch kernel after (same
-// chunk decomposition, same skip rule, same chain assignment) — so under
-// full retention every coefficient matches the fused build bit for bit.
-// Under compact retention the same replay arithmetic runs over the
-// float32-rounded vectors.
-func (bd *Binding) replayDots(snap chainSnapshot, start int, dots []float64) {
+// newIncChains creates the binding-owned chains of the non-retaining
+// incremental store (prime nil when α_r = 1): they start from the same u₀ /
+// u'₀ a fused build starts from and track the b series directly out of the
+// fused step kernel, so nothing beyond O(states) working vectors and O(K)
+// scalars is retained.
+func (bd *Binding) newIncChains() (main, prime *chainState) {
 	b := bd.basis
-	if b.mode == RetainCompact {
-		replayDotsT(bd, snap.us32, start, dots)
-		return
+	lanes := [][]float64{bd.rewards}
+	main = b.newChain(false, lanes, nil, &bd.bytes)
+	bd.bytes.Add(int64(b.model.N()) * 16) // the chain's two working vectors
+	if b.alphaR < 1 {
+		prime = b.newChain(true, lanes, nil, &bd.bytes)
+		bd.bytes.Add(int64(b.model.N()) * 16)
 	}
-	// Full retention keeps the historical two-lane batch kernel for the
-	// saturated range (bitwise-equal to the multi-rewards kernel, but with
-	// lane pairs fanned over the pool — the right shape for one binding).
-	xs := snap.us[start : start+len(dots)]
-	i := 0
-	if fr := b.fr; fr != nil {
-		for i < len(dots) && !fr.Saturated(start+i-1) {
-			dots[i] = fr.RewardDot(start+i-1, xs[i], bd.rewards, b.plan.zpos)
-			i++
-		}
-	}
-	if i < len(dots) {
-		b.dtmc.P.RewardDotFusedBatch(xs[i:], bd.rewards, b.plan.zero, dots[i:])
-	}
+	return main, prime
 }
 
-// replayDotsT is the generic replay over either retention precision, used
-// by the compact path (and by PrebindMany through fillMany).
-func replayDotsT[T sparse.Real](bd *Binding, us [][]T, start int, dots []float64) {
-	b := bd.basis
-	xs := us[start : start+len(dots)]
-	i := 0
-	if fr := b.fr; fr != nil {
-		for i < len(dots) && !fr.Saturated(start+i-1) {
-			dots[i] = sparse.FrontierRewardDot(fr, start+i-1, xs[i], bd.rewards, b.plan.zpos)
-			i++
-		}
-	}
-	if i < len(dots) {
-		sparse.RewardDotMulti(b.dtmc.P, xs[i:], [][]float64{bd.rewards}, b.plan.zero, [][]float64{dots[i:]})
-	}
-}
-
-// BuildMany builds the series of several reward vectors over this basis's
-// shared DTMC in one multi-lane stepping pass (see BuildManyWithDTMC); each
-// returned series is bitwise-identical to the one the corresponding
-// binding's SeriesFor would build on a non-retaining basis. It is the
-// grouped construction path of the query planner for non-retaining compiled
-// models.
-func (b *Basis) BuildMany(rewardsList [][]float64, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMC(b.model, b.dtmc, rewardsList, b.regenState, b.opts, horizon)
-}
-
-// BuildManyCtx is BuildMany with cooperative cancellation (see
-// BuildManyWithDTMCCtx).
+// BuildManyCtx builds the series of several reward vectors over this
+// basis's shared DTMC in one fresh stepping pass: the chain trajectory u_k
+// is reward-independent, so all R vectors ride one traversal of the DTMC
+// per step (multi-lane lockstep; each stored entry is loaded once for all
+// lanes), and when α_r < 1 the main and primed chains also step in lockstep
+// while both still need depth. Every returned series is bitwise-identical
+// to the corresponding single-rewards Build — per-lane kernel arithmetic is
+// unchanged (see sparse.StepFusedMulti), each lane's truncation level comes
+// from the same monotone bound searched over the same values, and lanes
+// that certify early only carry prefix slices of the shared arrays — and to
+// what the corresponding binding's SeriesFor builds on a non-retaining
+// basis. It is the grouped construction path of the query planner for
+// non-retaining compiled models.
+//
+// ctx is tested once per stepping iteration; a cancel returns a
+// core.CancelError with the steps completed.
 func (b *Basis) BuildManyCtx(ctx context.Context, rewardsList [][]float64, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMCCtx(ctx, b.model, b.dtmc, rewardsList, b.regenState, b.opts, horizon)
+	if len(rewardsList) == 0 {
+		return nil, fmt.Errorf("regen: BuildManyCtx needs at least one rewards vector")
+	}
+	g := goal{lam: b.dtmc.Lambda * horizon, bounds: make([]bound, len(rewardsList))}
+	for ri, rewards := range rewardsList {
+		rmax, err := core.CheckRewards(rewards, b.model.N())
+		if err != nil {
+			return nil, err
+		}
+		g.bounds[ri] = bound{rmax, b.chainBudget()}
+	}
+	if err := checkHorizon(horizon); err != nil {
+		return nil, err
+	}
+	// With several reward lanes the dot side dominates the stepping pass;
+	// one shared row-interleaved rewards layout keeps its traffic at R
+	// consecutive floats per row (see sparse.StepLane.RewardsIx — a pure
+	// layout change, results bitwise-identical).
+	var rewardsIx []float64
+	if len(rewardsList) > 1 {
+		rewardsIx = sparse.InterleaveRewards(rewardsList)
+	}
+	main := b.newChain(false, rewardsList, rewardsIx, nil)
+	var prime *chainState
+	if b.alphaR < 1 {
+		prime = b.newChain(true, rewardsList, rewardsIx, nil)
+	}
+	if _, err := advance(ctx, b.dtmc, b.plan, g, main, prime); err != nil {
+		return nil, err
+	}
+	out := make([]*Series, len(rewardsList))
+	for ri, rewards := range rewardsList {
+		s := b.newSeries(g.bounds[ri].rmax, b.absorbingRewards(rewards), horizon)
+		for _, cs := range []*chainState{main, prime} {
+			if cs != nil {
+				s.cut(cs.primed, g.level(cs.primed, cs.a, ri), cs.snapshot(), cs.bs[ri])
+			}
+		}
+		out[ri] = s
+	}
+	return out, nil
 }
 
 // Prewarm eagerly extends the reward-free retained chains deep enough to
@@ -639,40 +438,32 @@ func (b *Basis) Prewarm(ctx context.Context, horizon float64) error {
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	lam := b.dtmc.Lambda * horizon
-	budget := b.chainBudget()
-	if _, err := b.extend(ctx, b.main, func(a []float64, level int) bool {
-		return truncErrS(1, a, level, lam) <= budget
-	}); err != nil {
-		return err
-	}
-	if b.prime != nil {
-		if _, err := b.extend(ctx, b.prime, func(a []float64, level int) bool {
-			return truncErrP(1, a, level, lam) <= budget
-		}); err != nil {
+	g := goal{lam: b.dtmc.Lambda * horizon, bounds: []bound{{1, b.chainBudget()}}}
+	for _, cs := range []*chainState{b.main, b.prime} {
+		if cs == nil {
+			continue
+		}
+		if _, err := b.extend(ctx, cs, g); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// PrebindMany warms the b-series caches of several bindings of this basis
-// for one shared horizon: the chains are extended once under the deepest
-// requirement, and every binding's missing coefficients are replayed as
-// reward lanes of the multi-rewards dot kernel — the retained vectors are
-// streamed once per eight-vector block for all bindings instead of once per
-// binding. The cached values are bitwise-identical to what each binding's
-// own SeriesFor would compute (the per-(vector, rewards) replay arithmetic
-// is association-fixed), so this is purely a throughput optimization; a
-// later SeriesFor call finds its coefficients cached. No-op on a
-// non-retaining basis.
-func (b *Basis) PrebindMany(bds []*Binding, horizon float64) error {
-	return b.PrebindManyCtx(context.Background(), bds, horizon)
-}
-
-// PrebindManyCtx is PrebindMany with cooperative cancellation during the
-// shared chain extension; the replay fill itself is not interrupted (it is
-// cheap relative to stepping and keeps the store append-consistent).
+// PrebindManyCtx warms the b-series caches of several bindings of this
+// basis for one shared horizon: the chains are extended once under the
+// deepest requirement, and every binding's missing coefficients are
+// replayed as reward lanes of the multi-rewards dot kernel — the retained
+// vectors are streamed once per eight-vector block for all bindings instead
+// of once per binding. The cached values are bitwise-identical to what each
+// binding's own SeriesFor would compute (the per-(vector, rewards) replay
+// arithmetic is association-fixed), so this is purely a throughput
+// optimization; a later SeriesFor call finds its coefficients cached. No-op
+// on a non-retaining basis.
+//
+// ctx is tested once per step of the shared chain extension; the replay
+// fill itself is not interrupted (it is cheap relative to stepping and
+// keeps the store append-consistent).
 func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon float64) error {
 	if b.mode == RetainNone || len(bds) == 0 {
 		return nil
@@ -680,159 +471,188 @@ func (b *Basis) PrebindManyCtx(ctx context.Context, bds []*Binding, horizon floa
 	if err := checkHorizon(horizon); err != nil {
 		return err
 	}
-	lam := b.dtmc.Lambda * horizon
-	budgets := make([]float64, len(bds))
-	for i, bd := range bds {
-		if bd.basis != b {
-			return fmt.Errorf("regen: PrebindMany binding %d belongs to a different basis", i)
-		}
-		bud, err := bd.truncBudget()
-		if err != nil {
-			return err
-		}
-		budgets[i] = bud
-	}
-	// Main chain: extend once under the union of the bindings' predicates,
-	// then search each binding's truncation level over the shared a values —
-	// the same monotone bound SeriesFor searches, hence identical K's.
-	mainPred := func(a []float64, level int) bool {
-		for i, bd := range bds {
-			if truncErrS(bd.rmax, a, level, lam) > budgets[i] {
-				return false
-			}
-		}
-		return true
-	}
-	snap, err := b.extend(ctx, b.main, mainPred)
-	if err != nil {
-		return err
-	}
-	tops := make([]int, len(bds))
-	depth := len(snap.a) - 1
-	for i, bd := range bds {
-		tops[i] = sort.Search(depth, func(cand int) bool {
-			return truncErrS(bd.rmax, snap.a, cand, lam) <= budgets[i]
-		})
-	}
-	b.fillMany(bds, snap, tops, false)
-
-	if b.alphaR < 1 {
-		primePred := func(a []float64, level int) bool {
-			for i, bd := range bds {
-				if truncErrP(bd.rmax, a, level, lam) > budgets[i] {
-					return false
-				}
-			}
-			return true
-		}
-		psnap, err := b.extend(ctx, b.prime, primePred)
-		if err != nil {
-			return err
-		}
-		pdepth := len(psnap.a) - 1
-		for i, bd := range bds {
-			tops[i] = sort.Search(pdepth, func(cand int) bool {
-				return truncErrP(bd.rmax, psnap.a, cand, lam) <= budgets[i]
-			})
-		}
-		b.fillMany(bds, psnap, tops, true)
-	}
-	return nil
+	_, err := b.bindMany(ctx, bds, horizon)
+	return err
 }
 
-// fillMany computes the missing b(k) of every binding over one chain
-// snapshot through the grouped replay kernels. Stores only ever grow and
-// every entry is a pure function of (basis, rewards, k), so concurrent
-// individual bSeries calls and fillMany commute: whoever appends first
-// appends the same values.
-func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, prime bool) {
+// bindMany is the retained-basis replay path behind PrebindManyCtx and
+// SeriesForCtx: each retained chain in turn (main, then prime) is extended
+// once under the union of the bindings' bounds, each binding's truncation
+// level is searched over the shared a values — the same monotone bound
+// SeriesFor searches, hence identical levels — and fillMany replays the
+// missing coefficients. It returns every binding's series.
+func (b *Basis) bindMany(ctx context.Context, bds []*Binding, horizon float64) ([]*Series, error) {
+	g := goal{lam: b.dtmc.Lambda * horizon, bounds: make([]bound, len(bds))}
+	out := make([]*Series, len(bds))
+	for i, bd := range bds {
+		if bd.basis != b {
+			return nil, fmt.Errorf("regen: PrebindManyCtx binding %d belongs to a different basis", i)
+		}
+		budget, err := bd.truncBudget()
+		if err != nil {
+			return nil, err
+		}
+		g.bounds[i] = bound{bd.rmax, budget}
+		out[i] = b.newSeries(bd.rmax, bd.rAbs, horizon)
+	}
+	tops := make([]int, len(bds))
+	for _, cs := range []*chainState{b.main, b.prime} {
+		if cs == nil {
+			continue
+		}
+		snap, err := b.extend(ctx, cs, g)
+		if err != nil {
+			return nil, err
+		}
+		for i := range bds {
+			tops[i] = g.level(cs.primed, snap.a, i)
+		}
+		bs := b.fillMany(bds, snap, tops, cs.primed)
+		for i, s := range out {
+			s.cut(cs.primed, tops[i], snap, bs[i])
+		}
+	}
+	return out, nil
+}
+
+// fillMany computes the missing b(0..tops[i]) of every binding over one
+// chain snapshot and returns each binding's b(0..tops[i]). b(0) is the plain
+// compensated dot the fused build starts from; b(k ≥ 1) comes from one
+// grouped replay over the union range. Stores only ever grow and every
+// entry is a pure function of (basis, rewards, k), so concurrent fills
+// commute: whoever appends first appends the same values.
+//
+// A single binding holds its lock across the replay, so concurrent series
+// requests on it replay each coefficient once; a group locks each binding
+// only to read its store and to publish.
+func (b *Basis) fillMany(bds []*Binding, snap chainSnapshot, tops []int, primed bool) [][]float64 {
 	store := func(bd *Binding) *[]float64 {
-		if prime {
+		if primed {
 			return &bd.bPrime
 		}
 		return &bd.bMain
 	}
+	single := len(bds) == 1
+	if single {
+		bds[0].mu.Lock()
+		defer bds[0].mu.Unlock()
+	}
 	type need struct {
-		bd    *Binding
+		i     int // index into bds
 		start int // first missing coefficient index ≥ 1 at plan time
-		top   int
 	}
 	var needs []need
 	lo, hi := int(^uint(0)>>1), -1
 	for i, bd := range bds {
-		top := tops[i]
-		bd.mu.Lock()
+		if !single {
+			bd.mu.Lock()
+		}
 		st := store(bd)
-		if len(*st) == 0 && top >= 0 {
+		if len(*st) == 0 {
 			*st = append(*st, bd.b0(snap))
 			bd.bytes.Add(8)
 		}
 		start := len(*st)
-		bd.mu.Unlock()
-		if start <= top {
-			needs = append(needs, need{bd: bd, start: start, top: top})
-			if start < lo {
-				lo = start
-			}
-			if top > hi {
-				hi = top
-			}
+		if !single {
+			bd.mu.Unlock()
 		}
-	}
-	if len(needs) == 0 {
-		return
+		if start <= tops[i] {
+			needs = append(needs, need{i: i, start: start})
+			lo, hi = min(lo, start), max(hi, tops[i])
+		}
 	}
 	// One grouped replay covers [lo, hi] for every needing binding; a
 	// binding whose own range is narrower wastes a few lane dots, which the
 	// shared streaming more than pays for.
 	rewardsList := make([][]float64, len(needs))
 	outs := make([][]float64, len(needs))
-	for i, nd := range needs {
-		rewardsList[i] = nd.bd.rewards
-		outs[i] = make([]float64, hi+1-lo)
+	for j, nd := range needs {
+		rewardsList[j] = bds[nd.i].rewards
+		outs[j] = make([]float64, hi+1-lo)
 	}
-	// Vector u_k was produced by step k−1: frontier replay while the
-	// reachable set was still growing, the multi-rewards batch kernel after
-	// — the association of each binding's own replay path.
+	if len(needs) > 0 {
+		if b.mode == RetainCompact {
+			replay(b, snap.us32, lo, rewardsList, outs)
+		} else {
+			replay(b, snap.us, lo, rewardsList, outs)
+		}
+	}
+	bs := make([][]float64, len(bds))
+	j := 0
+	for i, bd := range bds {
+		if !single {
+			bd.mu.Lock()
+		}
+		st := store(bd)
+		if j < len(needs) && needs[j].i == i {
+			initial := len(*st)
+			for k := initial; k <= tops[i]; k++ {
+				var bk float64
+				if ak := snap.a[k]; ak > 0 {
+					bk = outs[j][k-lo] / ak
+				}
+				*st = append(*st, bk)
+			}
+			if grew := len(*st) - initial; grew > 0 {
+				bd.bytes.Add(8 * int64(grew))
+			}
+			j++
+		}
+		bs[i] = (*st)[: tops[i]+1 : tops[i]+1]
+		if !single {
+			bd.mu.Unlock()
+		}
+	}
+	return bs
+}
+
+// b0 is the k = 0 coefficient: the plain compensated dot the fused build
+// starts from, over the retained u₀ at the basis's retention precision.
+func (bd *Binding) b0(snap chainSnapshot) float64 {
+	a0 := snap.a[0]
+	if a0 <= 0 {
+		return 0
+	}
+	if bd.basis.mode == RetainCompact {
+		return sparse.DotW(snap.us32[0], bd.rewards) / a0
+	}
+	return sparse.Dot(snap.us[0], bd.rewards) / a0
+}
+
+// replay fills outs[r][k−lo] with the reward dot of retained vector u_k
+// against rewardsList[r], for lo ≤ k < lo+len(outs[r]). Vector u_k was
+// produced by step k−1, so the replay runs the dot side of the exact kernel
+// that step ran — the frontier kernel while the reachable set was still
+// growing, the full-sweep kernel after (same chunk decomposition, same skip
+// rule, same chain assignment) — and under full retention every
+// coefficient matches the fused build bit for bit. Under compact retention
+// the same arithmetic runs over the float32-rounded vectors.
+//
+// The full-sweep range of one float64 rewards vector runs
+// RewardDotFusedBatch, whose lane pairs fan over the worker pool and which
+// measures several times faster than a one-lane RewardDotMulti
+// (BenchmarkReplayKernels); everything else runs RewardDotMulti. Both are
+// bitwise-identical per (vector, rewards) pair.
+func replay[T sparse.Real](b *Basis, us [][]T, lo int, rewardsList, outs [][]float64) {
+	hi := lo + len(outs[0]) - 1
 	k := lo
 	if fr := b.fr; fr != nil {
 		for ; k <= hi && !fr.Saturated(k-1); k++ {
-			for i, nd := range needs {
-				if b.mode == RetainCompact {
-					outs[i][k-lo] = sparse.FrontierRewardDot(fr, k-1, snap.us32[k], nd.bd.rewards, b.plan.zpos)
-				} else {
-					outs[i][k-lo] = sparse.FrontierRewardDot(fr, k-1, snap.us[k], nd.bd.rewards, b.plan.zpos)
-				}
+			for r, rw := range rewardsList {
+				outs[r][k-lo] = sparse.FrontierRewardDot(fr, k-1, us[k], rw, b.plan.zpos)
 			}
 		}
 	}
-	if k <= hi {
-		tails := make([][]float64, len(needs))
-		for i := range outs {
-			tails[i] = outs[i][k-lo:]
-		}
-		if b.mode == RetainCompact {
-			sparse.RewardDotMulti(b.dtmc.P, snap.us32[k:hi+1], rewardsList, b.plan.zero, tails)
-		} else {
-			sparse.RewardDotMulti(b.dtmc.P, snap.us[k:hi+1], rewardsList, b.plan.zero, tails)
-		}
+	if k > hi {
+		return
 	}
-	for i, nd := range needs {
-		nd.bd.mu.Lock()
-		st := store(nd.bd)
-		initial := len(*st)
-		for kk := initial; kk <= nd.top; kk++ {
-			d := outs[i][kk-lo]
-			ak := snap.a[kk]
-			var bk float64
-			if ak > 0 {
-				bk = d / ak
-			}
-			*st = append(*st, bk)
-		}
-		if grew := len(*st) - initial; grew > 0 {
-			nd.bd.bytes.Add(8 * int64(grew))
-		}
-		nd.bd.mu.Unlock()
+	tails := make([][]float64, len(outs))
+	for r := range outs {
+		tails[r] = outs[r][k-lo:]
 	}
+	if xs, ok := any(us[k : hi+1]).([][]float64); ok && len(rewardsList) == 1 {
+		b.dtmc.P.RewardDotFusedBatch(xs, rewardsList[0], b.plan.zero, tails[0])
+		return
+	}
+	sparse.RewardDotMulti(b.dtmc.P, us[k:hi+1], rewardsList, b.plan.zero, tails)
 }

@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,12 +22,12 @@ func TestBuildManyBitwiseEqualsBuild(t *testing.T) {
 		{0, 0, 0, 0, 1},
 		{2.5, 2.5, 2.5, 0, 10}, // different rmax → different truncation level
 	}
-	d, err := model.Uniformize(opts.UniformizationFactor)
+	basis, err := NewBasisMode(model, 0, opts, RetainNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range []float64{5, 60, 300} {
-		many, err := BuildManyWithDTMC(model, d, rewardsSets, 0, opts, h)
+		many, err := basis.BuildManyCtx(context.Background(), rewardsSets, h)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package regen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestPrebindManyBitwiseEqualsIndividual(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range []float64{60, 5, 300} { // non-monotone horizon order
-			if err := grouped.PrebindMany(grpBinds, h); err != nil {
+			if err := grouped.PrebindManyCtx(context.Background(), grpBinds, h); err != nil {
 				t.Fatalf("mode %v: PrebindMany: %v", mode, err)
 			}
 			for i := range rewardsSets {
@@ -163,7 +164,7 @@ func TestPrebindManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := none.PrebindMany([]*Binding{bd}, 10); err != nil {
+	if err := none.PrebindManyCtx(context.Background(), []*Binding{bd}, 10); err != nil {
 		t.Fatalf("non-retaining PrebindMany: %v", err)
 	}
 	compact, err := NewBasisMode(model, 0, core.DefaultOptions(), RetainCompact)
@@ -174,7 +175,7 @@ func TestPrebindManyEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := compact.PrebindMany([]*Binding{cb}, 10); err == nil {
+	if err := compact.PrebindManyCtx(context.Background(), []*Binding{cb}, 10); err == nil {
 		t.Fatal("compact PrebindMany certified epsilon 1e-12")
 	}
 }

@@ -294,10 +294,12 @@ func (sa *slab32Arena) roundFrom(u []float64) []float32 {
 	return v
 }
 
-// chainState steps one restricted chain (regenerative or primed). rewards
-// may be nil (the reward-independent compile phase): the b series is then
-// not tracked, everything else is identical — the fused kernel's stepped
-// vector, mass and zero diversions do not depend on the rewards argument.
+// chainState steps one restricted chain (regenerative or primed) while
+// tracking the conditional reward series b of any number of reward lanes —
+// none for the reward-independent chains a retaining Basis records, one for
+// a binding's incremental chains, R for a grouped build. The fused kernel's
+// stepped vector, mass and zero diversions do not depend on the lanes, so a
+// chain's trajectory is the same whatever it tracks.
 //
 // When fr is non-nil the chain steps through the reachability-frontier
 // kernels until the frontier saturates (see sparse.Frontier); the kernel
@@ -306,11 +308,19 @@ func (sa *slab32Arena) roundFrom(u []float64) []float32 {
 // bit-for-bit identical arithmetic for a given step.
 type chainState struct {
 	fr       *sparse.Frontier
+	primed   bool // the chain of the initial distribution without r
 	u, buf   []float64
 	zeroVals []float64
-	a, b, q  []float64
+	a, q     []float64
 	v        [][]float64
 	done     bool
+	// rewards are the tracked lanes, bs[r] the b series of rewards[r], dots
+	// the per-step kernel output. rewardsIx is the shared row-interleaved
+	// layout of more than one lane (see sparse.StepLane.RewardsIx).
+	rewards   [][]float64
+	rewardsIx []float64
+	bs        [][]float64
+	dots      []float64
 	// record retains every post-zeroing stepped vector, the raw material for
 	// binding reward vectors after the fact: at working precision in us
 	// (us[k] = u_k, slab-contiguous, never overwritten), or — when compact
@@ -327,21 +337,16 @@ type chainState struct {
 	// bytes, when non-nil, accumulates the retained heap bytes of this chain
 	// (stepped vectors plus per-step statistics) — the per-artifact size
 	// accounting byte-budget cache eviction reads. Updated per step with one
-	// atomic add so readers never contend on the basis lock a long extension
-	// holds.
+	// atomic add so readers never contend on the lock a long extension holds.
 	bytes *atomic.Int64
-	haveB bool // rewards were given at creation: the b series is tracked
 	n     int
 }
 
 // retainedStepBytes returns the heap bytes one recorded step adds: the
 // retained vector at the chain's retention precision plus the appended
-// a/q/v (and, when tracked, b) statistics.
+// a/q/v and per-lane b statistics.
 func (cs *chainState) retainedStepBytes() int64 {
-	stats := int64(2+len(cs.v)) * 8
-	if cs.haveB {
-		stats += 8
-	}
+	stats := int64(2+len(cs.v)+len(cs.rewards)) * 8
 	if cs.compact {
 		return int64(cs.n)*4 + stats
 	}
@@ -351,23 +356,43 @@ func (cs *chainState) retainedStepBytes() int64 {
 	return stats
 }
 
-func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rewards []float64, a0 float64, record, compact bool, bytes *atomic.Int64) *chainState {
+// newChain starts the regenerative chain (u_0 = e_r, mass 1) or, when
+// primed, the chain of the initial distribution without r (mass 1 − α_r),
+// tracking the b series of rewards (nil: none; rewardsIx is their shared
+// interleaving when there are several). A reward-free chain is the basis's
+// retained store: it records its stepped vectors at the basis's retention
+// precision. bytes, when non-nil, accumulates the chain's retained heap.
+func (b *Basis) newChain(primed bool, rewards [][]float64, rewardsIx []float64, bytes *atomic.Int64) *chainState {
+	n := b.model.N()
+	u0 := make([]float64, n)
+	a0 := 1.0
+	if primed {
+		copy(u0, b.model.Initial())
+		u0[b.regenState] = 0
+		a0 = 1 - b.alphaR
+	} else {
+		u0[b.regenState] = 1
+	}
+	record := rewards == nil && b.mode != RetainNone
 	cs := &chainState{
-		fr:       fr,
-		zeroVals: make([]float64, len(plan.zero)),
-		v:        make([][]float64, len(plan.absPos)),
-		record:   record,
-		compact:  record && compact,
-		arena:    slabArena{n: n},
-		arena32:  slab32Arena{n: n},
-		bytes:    bytes,
-		haveB:    rewards != nil,
-		n:        n,
+		fr:        b.fr,
+		primed:    primed,
+		zeroVals:  make([]float64, len(b.plan.zero)),
+		v:         make([][]float64, len(b.plan.absPos)),
+		rewards:   rewards,
+		rewardsIx: rewardsIx,
+		bs:        make([][]float64, len(rewards)),
+		dots:      make([]float64, len(rewards)),
+		record:    record,
+		compact:   record && b.mode == RetainCompact,
+		arena:     slabArena{n: n},
+		arena32:   slab32Arena{n: n},
+		bytes:     bytes,
+		n:         n,
 	}
 	switch {
 	case cs.compact:
-		cs.u = make([]float64, n)
-		copy(cs.u, u0)
+		cs.u = u0
 		cs.buf = make([]float64, n)
 		cs.us32 = append(cs.us32, cs.arena32.roundFrom(u0))
 	case record:
@@ -382,14 +407,14 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rew
 		cs.buf = make([]float64, n)
 	}
 	cs.a = append(cs.a, a0)
-	if a0 > 0 {
-		if rewards != nil {
-			cs.b = append(cs.b, sparse.Dot(u0, rewards)/a0)
+	for r, rw := range rewards {
+		var b0 float64
+		if a0 > 0 {
+			b0 = sparse.Dot(u0, rw) / a0
 		}
-	} else {
-		if rewards != nil {
-			cs.b = append(cs.b, 0)
-		}
+		cs.bs[r] = append(cs.bs[r], b0)
+	}
+	if !(a0 > 0) {
 		cs.done = true
 	}
 	if cs.bytes != nil {
@@ -402,29 +427,9 @@ func newChainState(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rew
 // u_stepIndex to u_stepIndex+1).
 func (cs *chainState) stepIndex() int { return len(cs.a) - 1 }
 
-// useFrontier reports whether the next step runs the frontier kernel.
-func (cs *chainState) useFrontier() bool {
-	return cs.fr != nil && !cs.fr.Saturated(cs.stepIndex())
-}
-
-// step advances the chain one randomized step, recording a, b, q, v. The
-// vector–matrix product, the zeroing of the regenerative and absorbing
-// destinations, the surviving ℓ₁ mass a(k+1) and the reward dot-product all
-// come out of a single fused kernel pass — frontier-restricted while the
-// reachable set is still growing, full-sweep after.
-func (cs *chainState) step(d *ctmc.DTMC, plan *zeroPlan, rewards []float64) {
-	var next, dot float64
-	if cs.useFrontier() {
-		next, dot = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, rewards, plan.zpos, cs.zeroVals)
-	} else {
-		next, dot = d.StepFused(cs.buf, cs.u, rewards, plan.zero, cs.zeroVals)
-	}
-	cs.finishStep(plan, next, dot, rewards != nil)
-}
-
-// finishStep records the outputs of one fused step (however it was
-// computed) and rotates the buffers.
-func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards bool) {
+// finishStep records the outputs of one fused step — mass next, the
+// zeroVals diversions and the lane dots — and rotates the buffers.
+func (cs *chainState) finishStep(plan *zeroPlan, next float64) {
 	ak := cs.a[len(cs.a)-1]
 	cs.q = append(cs.q, cs.zeroVals[plan.regenPos]/ak)
 	for i, p := range plan.absPos {
@@ -438,17 +443,14 @@ func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards 
 		cs.buf = cs.arena.next()
 	}
 	cs.a = append(cs.a, next)
-	if next > 0 {
-		if haveRewards {
-			cs.b = append(cs.b, dot/next)
+	for r := range cs.bs {
+		var bk float64
+		if next > 0 {
+			bk = cs.dots[r] / next
 		}
-	} else {
-		if haveRewards {
-			cs.b = append(cs.b, 0)
-		}
-		cs.done = true
+		cs.bs[r] = append(cs.bs[r], bk)
 	}
-	if next < underflowFloor {
+	if !(next > 0) || next < underflowFloor {
 		cs.done = true
 	}
 	if cs.bytes != nil {
@@ -456,9 +458,180 @@ func (cs *chainState) finishStep(plan *zeroPlan, next, dot float64, haveRewards 
 	}
 }
 
+// snapshot returns capacity-capped views of the chain's current prefix:
+// later steps append past them and never mutate what a caller holds.
+func (cs *chainState) snapshot() chainSnapshot {
+	snap := chainSnapshot{
+		a:    cs.a[:len(cs.a):len(cs.a)],
+		q:    cs.q[:len(cs.q):len(cs.q)],
+		us:   cs.us[:len(cs.us):len(cs.us)],
+		us32: cs.us32[:len(cs.us32):len(cs.us32)],
+		v:    make([][]float64, len(cs.v)),
+	}
+	for i := range cs.v {
+		snap.v[i] = cs.v[i][:len(cs.v[i]):len(cs.v[i])]
+	}
+	return snap
+}
+
+// chainSnapshot is an immutable view of one chain's reward-free statistics.
+// Exactly one of us/us32 is populated for a retained chain, per the basis's
+// retention precision.
+type chainSnapshot struct {
+	a, q []float64
+	v    [][]float64
+	us   [][]float64
+	us32 [][]float32
+}
+
+// stepChains advances chains — all at the same step index — by one
+// randomized step through one traversal of the DTMC. The vector–matrix
+// product, the zeroing of the regenerative and absorbing destinations, the
+// surviving ℓ₁ mass and every lane's reward dot come out of one fused kernel
+// pass, frontier-restricted while the reachable set is still growing and
+// full-sweep after. One chain with at most one lane runs the specialized
+// StepFused kernel; anything more runs StepFusedMulti, whose per-lane
+// arithmetic is bitwise-identical to it.
+func stepChains(d *ctmc.DTMC, plan *zeroPlan, chains []*chainState) {
+	cs := chains[0]
+	step := cs.stepIndex()
+	fr := cs.fr
+	if fr != nil && fr.Saturated(step) {
+		fr = nil
+	}
+	if len(chains) == 1 && len(cs.rewards) <= 1 {
+		var rw []float64
+		if len(cs.rewards) == 1 {
+			rw = cs.rewards[0]
+		}
+		var next, dot float64
+		if fr != nil {
+			next, dot = fr.StepFused(step, cs.buf, cs.u, rw, plan.zpos, cs.zeroVals)
+		} else {
+			next, dot = d.StepFused(cs.buf, cs.u, rw, plan.zero, cs.zeroVals)
+		}
+		if len(cs.dots) == 1 {
+			cs.dots[0] = dot
+		}
+		cs.finishStep(plan, next)
+		return
+	}
+	lanes := make([]sparse.StepLane, len(chains))
+	for i, c := range chains {
+		lanes[i] = sparse.StepLane{
+			Dst:       c.buf,
+			Src:       c.u,
+			ZeroVals:  c.zeroVals,
+			Rewards:   c.rewards,
+			RewardsIx: c.rewardsIx,
+			Zero:      plan.zero,
+			Dots:      c.dots,
+		}
+	}
+	if fr != nil {
+		fr.StepFusedMulti(step, lanes, plan.zpos)
+	} else {
+		d.P.StepFusedMulti(lanes, plan.zpos)
+	}
+	for i, c := range chains {
+		c.finishStep(plan, lanes[i].Sum)
+	}
+}
+
+// bound is one reward lane's truncation requirement: its maximum reward
+// rate and the slice of ε its truncation error may use.
+type bound struct{ rmax, budget float64 }
+
+// goal is the depth a construction needs at Poisson mean lam = Λ·horizon: a
+// chain is deep enough once truncating it at its current depth keeps every
+// bound within budget (or it is exhausted). The bounds are monotone
+// non-increasing in the level, so each lane's truncation level is
+// binary-searched over the chain and does not depend on how much deeper the
+// chain was stepped for other lanes or earlier horizons.
+type goal struct {
+	lam    float64
+	bounds []bound
+}
+
+// meets reports whether truncating a chain with statistics a at level keeps
+// bd's truncation error within its budget.
+func (g goal) meets(primed bool, bd bound, a []float64, level int) bool {
+	if primed {
+		return truncErrP(bd.rmax, a, level, g.lam) <= bd.budget
+	}
+	return truncErrS(bd.rmax, a, level, g.lam) <= bd.budget
+}
+
+// needs reports whether cs (nil: no chain) must be stepped further.
+func (g goal) needs(cs *chainState) bool {
+	if cs == nil || cs.done {
+		return false
+	}
+	for _, bd := range g.bounds {
+		if !g.meets(cs.primed, bd, cs.a, cs.stepIndex()) {
+			return true
+		}
+	}
+	return false
+}
+
+// level returns lane i's truncation level over a chain prefix a: the
+// smallest level its bound certifies, or the depth when none below it does.
+func (g goal) level(primed bool, a []float64, i int) int {
+	return sort.Search(len(a)-1, func(l int) bool { return g.meets(primed, g.bounds[i], a, l) })
+}
+
+// advance steps main and prime (either may be nil) until g no longer needs
+// either: in lockstep, one DTMC traversal per step, while both need depth
+// (the common case is a short primed chain riding the main chain's early
+// steps for free), then whichever still does alone. ctx and the fault point
+// are tested once per iteration, so a cancel returns within one step's
+// latency carrying a core.CancelError with the steps completed; a
+// successful run is bitwise-identical to an uncancellable one — the check
+// performs no arithmetic. It returns the iterations completed.
+func advance(ctx context.Context, d *ctmc.DTMC, plan *zeroPlan, g goal, main, prime *chainState) (int, error) {
+	both := []*chainState{main, prime}
+	for steps := 0; ; steps++ {
+		var chains []*chainState
+		switch m, p := g.needs(main), g.needs(prime); {
+		case m && p:
+			chains = both
+		case m:
+			chains = both[:1]
+		case p:
+			chains = both[1:]
+		default:
+			return steps, nil
+		}
+		if err := checkpoint(ctx, steps); err != nil {
+			return steps, err
+		}
+		stepChains(d, plan, chains)
+	}
+}
+
+// cut sets the K half of s (the L half when primed) from a chain prefix c
+// and its b series: every series is truncated at level, and the published
+// slices are capacity-capped so later chain extension never mutates them.
+func (s *Series) cut(primed bool, level int, c chainSnapshot, b []float64) {
+	a, bb := c.a[:level+1:level+1], b[:level+1:level+1]
+	nq := min(level, len(c.q))
+	q := c.q[:nq:nq]
+	v := make([][]float64, len(c.v))
+	for i := range c.v {
+		nv := min(level, len(c.v[i]))
+		v[i] = c.v[i][:nv:nv]
+	}
+	if primed {
+		s.L, s.AP, s.BP, s.QP, s.VP = level, a, bb, q, v
+		return
+	}
+	s.K, s.A, s.B, s.Q, s.V = level, a, bb, q, v
+}
+
 // disableFrontier is the ablation/testing knob for reachability-frontier
-// pruning. It is read once per construction (Build*, NewBasis), so a basis
-// created with one setting keeps it for its whole life.
+// pruning. It is read once per construction (NewBasisMode, hence Build), so
+// a basis created with one setting keeps it for its whole life.
 var disableFrontier atomic.Bool
 
 // SetDisableFrontier turns reachability-frontier pruning off (true) or on
@@ -468,103 +641,8 @@ var disableFrontier atomic.Bool
 // path to a couple of ulps per step.
 func SetDisableFrontier(v bool) bool { return disableFrontier.Swap(v) }
 
-// multiChain steps one restricted chain while tracking the conditional
-// reward series of any number of reward vectors. It is the construction
-// unit of BuildManyWithDTMC: the chain statistics live in the embedded
-// chainState; the per-rewards b series are appended here from the fused
-// kernels' dot lanes.
-type multiChain struct {
-	cs          *chainState
-	rewardsList [][]float64
-	rewardsIx   []float64 // shared row-interleaved layout (nil for 1 lane)
-	bs          [][]float64
-	dots        []float64 // per-step scratch, one slot per rewards vector
-}
-
-func newMultiChain(n int, plan *zeroPlan, fr *sparse.Frontier, u0 []float64, rewardsList [][]float64, rewardsIx []float64, a0 float64) *multiChain {
-	mc := &multiChain{
-		cs:          newChainState(n, plan, fr, u0, nil, a0, false, false, nil),
-		rewardsList: rewardsList,
-		rewardsIx:   rewardsIx,
-		bs:          make([][]float64, len(rewardsList)),
-		dots:        make([]float64, len(rewardsList)),
-	}
-	for ri, rw := range rewardsList {
-		var b0 float64
-		if a0 > 0 {
-			b0 = sparse.Dot(u0, rw) / a0
-		}
-		mc.bs[ri] = append(mc.bs[ri], b0)
-	}
-	return mc
-}
-
-// b returns the b series of rewards vector ri.
-func (mc *multiChain) b(ri int) []float64 { return mc.bs[ri] }
-
-// recordB appends each lane's conditional reward rate for the step that
-// produced mass next.
-func (mc *multiChain) recordB(next float64, dots []float64) {
-	for ri := range mc.bs {
-		var bk float64
-		if next > 0 {
-			bk = dots[ri] / next
-		}
-		mc.bs[ri] = append(mc.bs[ri], bk)
-	}
-}
-
-// step advances the chain alone. The single-rewards case runs the same
-// specialized fused kernel as the classic build; more lanes go through the
-// generic multi-lane kernel — per-lane results are bitwise-identical either
-// way.
-func (mc *multiChain) step(d *ctmc.DTMC, plan *zeroPlan) {
-	cs := mc.cs
-	if len(mc.rewardsList) == 1 {
-		var next, dot float64
-		if cs.useFrontier() {
-			next, dot = cs.fr.StepFused(cs.stepIndex(), cs.buf, cs.u, mc.rewardsList[0], plan.zpos, cs.zeroVals)
-		} else {
-			next, dot = d.StepFused(cs.buf, cs.u, mc.rewardsList[0], plan.zero, cs.zeroVals)
-		}
-		mc.dots[0] = dot
-		mc.recordB(next, mc.dots)
-		cs.finishStep(plan, next, 0, false)
-		return
-	}
-	stepMulti(d, plan, []*multiChain{mc})
-}
-
-// stepMulti advances several chains in lockstep through one traversal of
-// the DTMC: every chain must be at the same step index (they are — lockstep
-// starts at step 0 and this is the only way they advance together).
-func stepMulti(d *ctmc.DTMC, plan *zeroPlan, chains []*multiChain) {
-	step := chains[0].cs.stepIndex()
-	lanes := make([]sparse.StepLane, len(chains))
-	for i, mc := range chains {
-		lanes[i] = sparse.StepLane{
-			Dst:       mc.cs.buf,
-			Src:       mc.cs.u,
-			ZeroVals:  mc.cs.zeroVals,
-			Rewards:   mc.rewardsList,
-			RewardsIx: mc.rewardsIx,
-			Zero:      plan.zero,
-			Dots:      mc.dots,
-		}
-	}
-	if fr := chains[0].cs.fr; fr != nil && !fr.Saturated(step) {
-		fr.StepFusedMulti(step, lanes, plan.zpos)
-	} else {
-		d.P.StepFusedMulti(lanes, plan.zpos)
-	}
-	for i, mc := range chains {
-		mc.recordB(lanes[i].Sum, lanes[i].Dots)
-		mc.cs.finishStep(plan, lanes[i].Sum, 0, false)
-	}
-}
-
-// validateRegenInputs checks the reward-independent preconditions shared by
-// Build and the compile-phase Basis.
+// validateRegenInputs checks the reward-independent preconditions of a
+// Basis.
 func validateRegenInputs(model *ctmc.CTMC, regen int, opts *core.Options) error {
 	if err := opts.Validate(); err != nil {
 		return err
@@ -595,16 +673,18 @@ func checkHorizon(horizon float64) error {
 // the given reward structure, regenerative state, error budget opts.Epsilon
 // and time horizon (the largest t the caller will evaluate). The model
 // truncation consumes ε/2 (split ε/4 + ε/4 between the two chains when
-// α_r < 1), exactly as in §2 of the paper.
+// α_r < 1), exactly as in §2 of the paper. It is a one-lane
+// Basis.BuildManyCtx over a fresh non-retaining basis.
 func Build(model *ctmc.CTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
-	if err := validateRegenInputs(model, regen, &opts); err != nil {
-		return nil, err
-	}
-	d, err := model.Uniformize(opts.UniformizationFactor)
+	b, err := NewBasisMode(model, regen, opts, RetainNone)
 	if err != nil {
 		return nil, err
 	}
-	return BuildWithDTMC(model, d, rewards, regen, opts, horizon)
+	series, err := b.BuildManyCtx(context.Background(), [][]float64{rewards}, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return series[0], nil
 }
 
 // frontierFor returns the reachability frontier the series constructions of
@@ -625,198 +705,4 @@ func frontierFor(model *ctmc.CTMC, d *ctmc.DTMC, regen int) *sparse.Frontier {
 		}
 	}
 	return d.P.FrontierFor(sources)
-}
-
-// BuildWithDTMC is Build with the uniformized chain supplied by the caller:
-// the compile phase uniformizes a model once and shares the DTMC across
-// every measure bound to it. d must be the uniformization of model at
-// opts.UniformizationFactor (uniformization is deterministic, so a shared
-// DTMC yields series bitwise-identical to a per-call Uniformize).
-func BuildWithDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
-	return BuildWithDTMCCtx(context.Background(), model, d, rewards, regen, opts, horizon)
-}
-
-// BuildWithDTMCCtx is BuildWithDTMC with cooperative cancellation (see
-// BuildManyWithDTMCCtx).
-func BuildWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewards []float64, regen int, opts core.Options, horizon float64) (*Series, error) {
-	series, err := BuildManyWithDTMCCtx(ctx, model, d, [][]float64{rewards}, regen, opts, horizon)
-	if err != nil {
-		return nil, err
-	}
-	return series[0], nil
-}
-
-// BuildManyWithDTMC builds the series of several reward vectors over one
-// model in a single stepping pass: the chain trajectory u_k is
-// reward-independent, so all R vectors ride one traversal of the DTMC per
-// step (multi-lane lockstep; each stored entry is loaded once for all
-// lanes), and when α_r < 1 the main and primed chains also step in lockstep
-// while both still need depth. Every returned series is bitwise-identical
-// to the corresponding single-rewards Build: per-lane kernel arithmetic is
-// unchanged (see sparse.StepFusedMulti), each lane's truncation level comes
-// from the same monotone bound searched over the same values, and lanes
-// that certify early only carry prefix slices of the shared arrays.
-func BuildManyWithDTMC(model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64) ([]*Series, error) {
-	return BuildManyWithDTMCCtx(context.Background(), model, d, rewardsList, regen, opts, horizon)
-}
-
-// BuildManyWithDTMCCtx is BuildManyWithDTMC with cooperative cancellation:
-// ctx is tested once per stepping iteration, so a cancel returns within one
-// step's latency carrying a core.CancelError with the steps completed. A
-// successful build is bitwise-identical to the ctx-free one — the ctx check
-// performs no arithmetic.
-func BuildManyWithDTMCCtx(ctx context.Context, model *ctmc.CTMC, d *ctmc.DTMC, rewardsList [][]float64, regen int, opts core.Options, horizon float64) ([]*Series, error) {
-	if err := validateRegenInputs(model, regen, &opts); err != nil {
-		return nil, err
-	}
-	if len(rewardsList) == 0 {
-		return nil, fmt.Errorf("regen: BuildMany needs at least one rewards vector")
-	}
-	rmaxs := make([]float64, len(rewardsList))
-	for ri, rewards := range rewardsList {
-		rmax, err := core.CheckRewards(rewards, model.N())
-		if err != nil {
-			return nil, err
-		}
-		rmaxs[ri] = rmax
-	}
-	if err := checkHorizon(horizon); err != nil {
-		return nil, err
-	}
-	init := model.Initial()
-	absorbing := model.Absorbing()
-	n := model.N()
-	lam := d.Lambda * horizon
-	alphaR := init[regen]
-	fr := frontierFor(model, d, regen)
-	plan := newZeroPlan(n, regen, absorbing)
-
-	out := make([]*Series, len(rewardsList))
-	for ri, rewards := range rewardsList {
-		s := &Series{
-			Lambda:    d.Lambda,
-			Regen:     regen,
-			AlphaR:    alphaR,
-			Absorbing: absorbing,
-			RMax:      rmaxs[ri],
-			Eps:       opts.Epsilon,
-			Horizon:   horizon,
-			L:         -1,
-		}
-		s.RewardsAbsorbing = make([]float64, len(absorbing))
-		for i, f := range absorbing {
-			s.RewardsAbsorbing[i] = rewards[f]
-		}
-		out[ri] = s
-	}
-	budget := out[0].budgetK() // α_r (hence the split) is shared by all lanes
-
-	// With several reward lanes the dot side dominates the stepping pass;
-	// one shared row-interleaved rewards layout keeps its traffic at R
-	// consecutive floats per row (see sparse.StepLane.RewardsIx — a pure
-	// layout change, results bitwise-identical).
-	var rewardsIx []float64
-	if len(rewardsList) > 1 {
-		rewardsIx = sparse.InterleaveRewards(rewardsList)
-	}
-	// Regenerative chain: u_0 = e_r.
-	u0 := make([]float64, n)
-	u0[regen] = 1
-	main := newMultiChain(n, plan, fr, u0, rewardsList, rewardsIx, 1)
-	var prime *multiChain
-	if alphaR < 1 {
-		// Primed chain: u'_0 = initial distribution without r.
-		up0 := make([]float64, n)
-		copy(up0, init)
-		up0[regen] = 0
-		prime = newMultiChain(n, plan, fr, up0, rewardsList, rewardsIx, 1-alphaR)
-	}
-	mainNeeds := func() bool {
-		if main.cs.done {
-			return false
-		}
-		K := main.cs.stepIndex()
-		for _, rmax := range rmaxs {
-			if truncErrS(rmax, main.cs.a, K, lam) > budget {
-				return true
-			}
-		}
-		return false
-	}
-	primeNeeds := func() bool {
-		if prime == nil || prime.cs.done {
-			return false
-		}
-		L := prime.cs.stepIndex()
-		for _, rmax := range rmaxs {
-			if truncErrP(rmax, prime.cs.a, L, lam) > budget {
-				return true
-			}
-		}
-		return false
-	}
-	// Lockstep phase: both chains advance through one matrix traversal per
-	// step while both still need depth (the common case is a short primed
-	// chain riding the main chain's early steps for free).
-	steps := 0
-	for mainNeeds() && primeNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
-			return nil, err
-		}
-		stepMulti(d, plan, []*multiChain{main, prime})
-		steps++
-	}
-	for mainNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
-			return nil, err
-		}
-		main.step(d, plan)
-		steps++
-	}
-	for primeNeeds() {
-		if err := checkpoint(ctx, steps); err != nil {
-			return nil, err
-		}
-		prime.step(d, plan)
-		steps++
-	}
-
-	for ri := range out {
-		s := out[ri]
-		rmax := rmaxs[ri]
-		depth := main.cs.stepIndex()
-		K := sort.Search(depth, func(cand int) bool {
-			return truncErrS(rmax, main.cs.a, cand, lam) <= budget
-		})
-		s.K = K
-		s.A = main.cs.a[:K+1]
-		s.B = main.b(ri)[:K+1]
-		s.Q = main.cs.q[:min(K, len(main.cs.q))]
-		s.V = make([][]float64, len(absorbing))
-		for i := range s.V {
-			s.V[i] = main.cs.v[i][:min(K, len(main.cs.v[i]))]
-		}
-		if prime != nil {
-			pdepth := prime.cs.stepIndex()
-			L := sort.Search(pdepth, func(cand int) bool {
-				return truncErrP(rmax, prime.cs.a, cand, lam) <= budget
-			})
-			s.L = L
-			s.AP = prime.cs.a[:L+1]
-			s.BP = prime.b(ri)[:L+1]
-			s.QP = prime.cs.q[:min(L, len(prime.cs.q))]
-			s.VP = make([][]float64, len(absorbing))
-			for i := range s.VP {
-				s.VP[i] = prime.cs.v[i][:min(L, len(prime.cs.v[i]))]
-			}
-		}
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

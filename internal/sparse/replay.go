@@ -154,8 +154,9 @@ func RewardDotMulti[T Real](m *Matrix, xs [][]T, rewardsList [][]float64, zero [
 // step for retained vectors of either precision: x must be the vector the
 // step with the given index produced (possibly rounded to float32 by
 // compact retention), and for float64 inputs the result is
-// bitwise-identical to Frontier.RewardDot — same grouped sweep order, same
-// skip rule, same four chains per chunk, same folds.
+// bitwise-identical to the dot Frontier.StepFused(step, ...) returned —
+// same swept rows in the same grouped order, same skip rule, same four
+// chains per chunk, same folds.
 func FrontierRewardDot[T Real](f *Frontier, step int, x []T, rewards []float64, zpos []int32) float64 {
 	m := f.m
 	if len(x) != m.n || len(rewards) != m.n || len(zpos) != m.n {

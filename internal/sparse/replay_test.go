@@ -126,7 +126,7 @@ func TestRewardDotMultiFloat32(t *testing.T) {
 }
 
 // DotW over float64 must be bitwise Dot; FrontierRewardDot over float64 is
-// the replay RewardDot delegates to (covered by the frontier tests) — here
+// covered by the frontier tests — here
 // check the float32 frontier replay agrees with a widened scalar reference
 // association-for-association on a single-chunk matrix.
 func TestDotWMatchesDot(t *testing.T) {

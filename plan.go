@@ -22,9 +22,9 @@ import (
 //     grid when horizon bucketing is on — see horizon.go), and each group's
 //     distinct
 //     reward vectors are executed as dot lanes of ONE multi-lane stepping
-//     pass — regen.Basis.BuildMany on non-retaining compiled models (every
+//     pass — regen.Basis.BuildManyCtx on non-retaining compiled models (every
 //     lane rides one traversal of the DTMC per step), the grouped
-//     multi-rewards replay regen.Basis.PrebindMany on retaining ones (the
+//     multi-rewards replay regen.Basis.PrebindManyCtx on retaining ones (the
 //     retained vectors are streamed once per block for all lanes).
 //
 // Planning is purely a throughput optimization: the grouped constructions
